@@ -6,7 +6,7 @@
 //! `specs/fig1.json` scenario spec (pass a different `.json` spec as
 //! the first argument to change the corpus size or seed). Pass a
 //! *directory* of `.txt` files as the first argument to analyze a real
-//! corpus instead.
+//! corpus instead; bytes that are not UTF-8 count as separators.
 //!
 //! Corpus *generation* threads one RNG through every paper and stays
 //! sequential; *analysis* is a sum of per-document term counts, so it
@@ -16,6 +16,7 @@
 
 use std::path::Path;
 use steelserve::figures::{fig1_corpus_report, run_spec};
+use steelworks_corpus::prelude::read_corpus_dir;
 
 /// The committed default spec (regenerates `results/fig1.txt`).
 const DEFAULT_SPEC: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/fig1.json");
@@ -26,13 +27,9 @@ fn main() {
     match args.first() {
         Some(dir) if Path::new(dir).is_dir() => {
             println!("# Fig. 1 over real corpus directory: {dir}");
-            let texts: Vec<String> = std::fs::read_dir(dir)
+            let texts = read_corpus_dir(Path::new(dir))
                 // steelcheck: allow(panic-reachable): dies before any sweep starts, with a clear message
-                .expect("readable corpus directory")
-                .filter_map(|e| e.ok())
-                .filter(|e| e.path().extension().map(|x| x == "txt").unwrap_or(false))
-                .filter_map(|e| std::fs::read_to_string(e.path()).ok())
-                .collect();
+                .expect("readable corpus directory");
             print!("{}", fig1_corpus_report(&texts, true, jobs));
         }
         arg => {

@@ -1,7 +1,6 @@
 //! The Fig. 1 analysis: count every term group over a corpus.
 
-use crate::matcher::{compile, count_group_tokens, tokenize, CompiledTerm};
-use crate::terms::{TermGroup, GROUPS};
+use crate::terms::{compiled_groups, GROUPS};
 
 /// One bar of the figure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -16,22 +15,10 @@ pub struct GroupCount {
 
 /// Count all groups over an iterator of document texts.
 pub fn analyze<'a, I: IntoIterator<Item = &'a str>>(docs: I) -> Vec<GroupCount> {
-    // Pre-compile all terms once.
-    let compiled: Vec<(&TermGroup, Vec<CompiledTerm>)> = GROUPS
+    GROUPS
         .iter()
-        .map(|g| (g, g.terms.iter().map(|t| compile(t)).collect()))
-        .collect();
-    let mut counts = vec![0u64; GROUPS.len()];
-    for doc in docs {
-        let tokens = tokenize(doc);
-        for (i, (_, terms)) in compiled.iter().enumerate() {
-            counts[i] += count_group_tokens(terms, &tokens);
-        }
-    }
-    compiled
-        .iter()
-        .zip(&counts)
-        .map(|((g, _), &measured)| GroupCount {
+        .zip(compiled_groups().count_docs(docs))
+        .map(|(g, measured)| GroupCount {
             label: g.label,
             measured,
             published: g.paper_count,
@@ -39,16 +26,25 @@ pub fn analyze<'a, I: IntoIterator<Item = &'a str>>(docs: I) -> Vec<GroupCount> 
         .collect()
 }
 
-/// Analyze every `.txt` file in a directory — run the Fig. 1 tool on a
-/// real proceedings corpus.
-pub fn analyze_dir(dir: &std::path::Path) -> std::io::Result<Vec<GroupCount>> {
+/// Read every `.txt` file in a directory. Bytes that are not UTF-8
+/// decode to U+FFFD, which the tokenizer treats as a separator like any
+/// other non-ASCII character, so a Latin-1 file is counted rather than
+/// rejected.
+pub fn read_corpus_dir(dir: &std::path::Path) -> std::io::Result<Vec<String>> {
     let mut texts = Vec::new();
     for entry in std::fs::read_dir(dir)? {
         let path = entry?.path();
         if path.extension().map(|e| e == "txt").unwrap_or(false) {
-            texts.push(std::fs::read_to_string(path)?);
+            texts.push(String::from_utf8_lossy(&std::fs::read(path)?).into_owned());
         }
     }
+    Ok(texts)
+}
+
+/// Analyze every `.txt` file in a directory — run the Fig. 1 tool on a
+/// real proceedings corpus.
+pub fn analyze_dir(dir: &std::path::Path) -> std::io::Result<Vec<GroupCount>> {
+    let texts = read_corpus_dir(dir)?;
     Ok(analyze(texts.iter().map(|s| s.as_str())))
 }
 
@@ -112,6 +108,23 @@ mod tests {
         assert_eq!(get("Internet"), 1);
         assert_eq!(get("PROFINET/EtherCAT/TSN"), 1);
         assert_eq!(get("TCP/UDP/IPv4/IPv6"), 2, "pdf ignored");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn analyze_dir_reads_latin1_files() {
+        let dir = std::env::temp_dir().join("steelworks-corpus-latin1-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Latin-1 "café": 0xE9 is not UTF-8, and separates "data" from
+        // "center" like any other non-ASCII character.
+        std::fs::write(dir.join("latin1.txt"), b"caf\xE9 TCP, data\xE9center.").unwrap();
+        std::fs::write(dir.join("utf8.txt"), "UDP").unwrap();
+        assert_eq!(read_corpus_dir(&dir).unwrap().len(), 2);
+        let counts = analyze_dir(&dir).unwrap();
+        let get = |label: &str| counts.iter().find(|c| c.label == label).unwrap().measured;
+        assert_eq!(get("TCP/UDP/IPv4/IPv6"), 2);
+        assert_eq!(get("Datacenter"), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

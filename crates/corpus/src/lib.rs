@@ -18,8 +18,8 @@ pub mod terms;
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::analyze::{analyze, analyze_dir, research_gap, GroupCount};
-    pub use crate::matcher::{compile, count_group, tokenize, CompiledTerm};
+    pub use crate::analyze::{analyze, analyze_dir, read_corpus_dir, research_gap, GroupCount};
+    pub use crate::matcher::{count_group, tokenize, CompileError};
     pub use crate::synth::{generate, SynthPaper};
     pub use crate::terms::{TermGroup, GROUPS};
 }

@@ -1,5 +1,7 @@
 //! The term groups of Fig. 1 and their published occurrence counts.
 
+use crate::matcher::Matcher;
+
 /// A group of related terms counted as one bar in Fig. 1.
 #[derive(Clone, Debug)]
 pub struct TermGroup {
@@ -82,6 +84,14 @@ pub const GROUPS: &[TermGroup] = &[
     },
 ];
 
+/// `GROUPS` compiled for counting, one count per group in figure order.
+pub(crate) fn compiled_groups() -> Matcher {
+    let terms: Vec<&[&str]> = GROUPS.iter().map(|g| g.terms).collect();
+    Matcher::new(&terms)
+        // steelcheck: allow(unwrap-in-lib, panic-reachable): GROUPS hold 50 distinct tokens and fused forms, pinned by `groups_fit_one_mask`
+        .expect("Fig. 1's term groups fit one token mask")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,6 +102,23 @@ mod tests {
         for w in GROUPS.windows(2) {
             assert!(w[0].paper_count <= w[1].paper_count);
         }
+    }
+
+    #[test]
+    fn groups_fit_one_mask() {
+        let terms: Vec<&[&str]> = GROUPS.iter().map(|g| g.terms).collect();
+        assert!(Matcher::new(&terms).is_ok());
+        let mut distinct: Vec<String> = Vec::new();
+        for term in GROUPS.iter().flat_map(|g| g.terms) {
+            let tokens = crate::matcher::tokenize(term);
+            let fused = (tokens.len() > 1).then(|| tokens.concat());
+            for t in tokens.into_iter().chain(fused) {
+                if !distinct.contains(&t) {
+                    distinct.push(t);
+                }
+            }
+        }
+        assert_eq!(distinct.len(), 50);
     }
 
     #[test]

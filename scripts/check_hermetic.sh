@@ -8,10 +8,14 @@
 # Checks:
 #   1. No Cargo.toml declares a dependency that is not a `path` dep
 #      (registry, git, or bare-version deps are all rejected).
-#   2. Cargo.lock contains only workspace crates (no `source =` lines).
+#   2. Cargo.lock and the benchmark's steelbench/Cargo.lock contain
+#      only path crates (no `source =` lines).
 #   3. `cargo build --release --frozen` and `cargo test -q --frozen`
 #      succeed — `--frozen` forbids both network access and lockfile
 #      updates, so this fails fast if anything external sneaks in.
+#      The benchmark package (steelbench/, its own workspace with path
+#      dependencies on crates/*) must also build `--offline --locked`,
+#      so an API change in crates/* that breaks it fails here.
 #   4. `steelcheck` (the in-repo four-layer static analysis: lexical
 #      rules R1–R6 and R10, the workspace call graph, the reachability
 #      rules R7–R9, and the CFG/dataflow rules R11–R13) reports zero
@@ -65,16 +69,18 @@ done < <(find . -name Cargo.toml -not -path './target/*')
 [ "$fail" -eq 0 ] && echo "OK: all dependencies are path deps"
 
 echo "== 2/6 Cargo.lock audit =="
-if [ ! -f Cargo.lock ]; then
-    echo "Cargo.lock is missing (required for --frozen builds)"
-    fail=1
-elif grep -q '^source = ' Cargo.lock; then
-    echo "Cargo.lock references external sources:"
-    grep '^source = ' Cargo.lock | sort -u
-    fail=1
-else
-    echo "OK: Cargo.lock contains only workspace crates"
-fi
+for lock in Cargo.lock steelbench/Cargo.lock; do
+    if [ ! -f "$lock" ]; then
+        echo "$lock is missing (required for --frozen/--locked builds)"
+        fail=1
+    elif grep -q '^source = ' "$lock"; then
+        echo "$lock references external sources:"
+        grep '^source = ' "$lock" | sort -u
+        fail=1
+    else
+        echo "OK: $lock contains only path crates"
+    fi
+done
 
 if [ "$fail" -ne 0 ]; then
     echo "hermeticity audit FAILED; skipping build"
@@ -87,6 +93,7 @@ echo "== 3/6 frozen build + test =="
 # would skip.
 cargo build --release --frozen --workspace
 cargo test -q --frozen --workspace
+cargo build --release --offline --locked --manifest-path steelbench/Cargo.toml
 
 echo "== 4/6 steelcheck static analysis =="
 # Text mode prints the per-rule summary table on stderr; a non-zero
