@@ -201,7 +201,10 @@ pub fn run_reflection(cfg: &ReflectionConfig) -> ReflectionOutcome {
                         // steelcheck: allow(float-hygiene): delay sample converted for the percentile report only
                         let d = r.ts.saturating_since(t_in).as_nanos() as f64;
                         delays.push(d);
-                        per_flow_delays.entry(src).or_default().push(d);
+                        per_flow_delays
+                            .entry(src)
+                            .or_insert_with(|| Vec::with_capacity(cfg.cycles as usize))
+                            .push(d);
                     }
                 }
             }

@@ -10,7 +10,7 @@
 use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable, cheaply-cloneable contiguous byte buffer.
 ///
@@ -20,11 +20,12 @@ use std::sync::Arc;
 pub struct Bytes(Arc<[u8]>);
 
 impl Bytes {
-    /// A new empty buffer. Does not allocate a backing store per call.
+    /// A new empty buffer. Every empty buffer shares one process-wide
+    /// allocation, so after the first call this never allocates and a
+    /// zero-length payload costs a refcount bump.
     pub fn new() -> Bytes {
-        // An empty Arc<[u8]> allocates only the refcount header; cheap
-        // enough, and `Bytes::new()` is rare on hot paths.
-        Bytes(Arc::from(&[][..]))
+        static EMPTY: OnceLock<Arc<[u8]>> = OnceLock::new();
+        Bytes(Arc::clone(EMPTY.get_or_init(|| Arc::from(&[][..]))))
     }
 
     /// Buffer backed by a static slice (copied once into the Arc; the
@@ -261,6 +262,14 @@ mod tests {
         assert!(Bytes::default().is_empty());
         assert_eq!(Bytes::from_static(b"pong").len(), 4);
         assert_eq!(Bytes::from(&[9u8, 8][..]), Bytes::from(vec![9u8, 8]));
+    }
+
+    #[test]
+    fn empty_buffers_share_storage() {
+        let a = Bytes::new();
+        let b = Bytes::new();
+        assert!(Arc::ptr_eq(&a.0, &b.0), "Bytes::new() must not allocate per call");
+        assert!(Arc::ptr_eq(&a.0, &Bytes::default().0));
     }
 
     #[test]

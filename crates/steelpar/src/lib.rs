@@ -8,27 +8,30 @@
 //! scenario boundaries. This crate is the one place in the workspace
 //! allowed to spawn threads (enforced by steelcheck's
 //! `thread-outside-exec` rule): a fixed worker pool over
-//! [`std::thread::scope`], **static** work assignment, and
+//! [`std::thread::scope`], **dynamic** work claiming, and
 //! **order-preserving** result collection.
 //!
 //! ## Why the output cannot depend on the job count
 //!
-//! Three properties, each independently sufficient to keep
-//! `results/*.txt` byte-identical between `jobs = 1` and `jobs = N`:
+//! Two properties keep `results/*.txt` byte-identical between
+//! `jobs = 1` and `jobs = N`:
 //!
 //! 1. **Parallel across scenarios, serial within a simulation.** A
 //!    worker runs one scenario at a time, single-threaded, exactly as
 //!    the sequential path would. Nothing inside `netsim` or the crates
 //!    above it spawns threads, so a scenario's event order, RNG stream
 //!    and trace are untouched by the pool.
-//! 2. **Static assignment.** Worker `w` of `n` takes jobs
-//!    `w, w + n, w + 2n, …` — decided before any thread starts, never
-//!    by racing on a shared queue. Which worker runs a job is a pure
-//!    function of `(index, n)`.
-//! 3. **Order-preserving collection.** Each result is stored at its
+//! 2. **Order-preserving collection.** Each result is stored at its
 //!    input index; [`run`] returns `Vec<R>` in input order regardless
 //!    of completion order. Callers format results exactly as the
 //!    sequential loop did.
+//!
+//! Which worker runs which item is *not* fixed: a free worker claims
+//! the next unclaimed item from a shared queue, so the assignment
+//! depends on timing. It cannot reach the output. By (1) a result is a
+//! function of its item alone, not of the thread that computed it, and
+//! by (2) its position is its input index, not its completion time.
+//! Callers with one dominant item put it first so it starts at once.
 //!
 //! `jobs = 1` (or a single job) bypasses the pool entirely and runs the
 //! closure in the caller's thread — the old sequential path, bit for
@@ -45,6 +48,8 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+use std::sync::{Mutex, PoisonError};
+
 /// Environment variable consulted by [`resolve_jobs`] when no explicit
 /// job count is given.
 pub const JOBS_ENV: &str = "STEELWORKS_JOBS";
@@ -52,10 +57,13 @@ pub const JOBS_ENV: &str = "STEELWORKS_JOBS";
 /// Run `f` over `items` on a fixed pool of at most `jobs` workers and
 /// return the results **in input order**.
 ///
-/// Work is assigned statically: worker `w` of `n` processes items
-/// `w, w + n, w + 2n, …`. With `jobs <= 1` or fewer than two items the
-/// pool is bypassed and everything runs sequentially in the caller's
-/// thread. A panic in any job propagates to the caller, as it would
+/// Workers claim items in input order from a shared queue, each taking
+/// the next one as soon as it finishes its last, so items start in
+/// input order and a long item never holds back the rest. Results are
+/// stored by input index, so the output does not depend on which
+/// worker ran what. With `jobs <= 1` or fewer than two items the pool
+/// is bypassed and everything runs sequentially in the caller's thread.
+/// A panic in any job propagates to the caller, as it would
 /// sequentially.
 pub fn run<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
@@ -69,23 +77,18 @@ where
         return items.into_iter().map(f).collect();
     }
 
-    // Static stride assignment: bucket w owns items w, w+n, w+2n, ...
-    let mut buckets: Vec<Vec<(usize, T)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, item) in items.into_iter().enumerate() {
-        buckets[i % workers].push((i, item));
-    }
-
-    let f = &f;
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let (f, queue) = (&f, &queue);
     let mut slots: Vec<Option<R>> = (0..n_items).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|bucket| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
                 scope.spawn(move || {
-                    bucket
-                        .into_iter()
-                        .map(|(i, item)| (i, f(item)))
-                        .collect::<Vec<(usize, R)>>()
+                    let mut done = Vec::new();
+                    while let Some((i, item)) = claim(queue) {
+                        done.push((i, f(item)));
+                    }
+                    done
                 })
             })
             .collect();
@@ -111,6 +114,13 @@ where
             None => unreachable!("job {i} produced no result"),
         })
         .collect()
+}
+
+/// Take the next `(index, item)` off the shared queue. The guard lives
+/// only for this call, so no worker holds the lock while it runs a job.
+/// A poisoned lock is still usable: a panicking job never holds it.
+fn claim<I: Iterator>(queue: &Mutex<I>) -> Option<I::Item> {
+    queue.lock().unwrap_or_else(PoisonError::into_inner).next()
 }
 
 /// Extract a `--jobs N` (or `--jobs=N`) flag from a CLI argument list,
@@ -191,6 +201,28 @@ mod tests {
             i
         });
         assert_eq!(out, (0..12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn long_head_item_does_not_hold_back_the_rest() {
+        // Item 0 waits for the last item's signal. Under static stride
+        // at 2 workers the last of 5 items is queued behind item 0 on
+        // worker 0, so the wait would time out; with claiming, worker 1
+        // runs items 1..=4 while item 0 waits.
+        enum Job {
+            Wait(std::sync::mpsc::Receiver<()>),
+            Pass,
+            Signal(std::sync::mpsc::Sender<()>),
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mut items = vec![Job::Wait(rx), Job::Pass, Job::Pass, Job::Pass];
+        items.push(Job::Signal(tx));
+        let out = run(2, items, |job| match job {
+            Job::Wait(rx) => rx.recv_timeout(Duration::from_secs(10)).is_ok(),
+            Job::Pass => true,
+            Job::Signal(tx) => tx.send(()).is_ok(),
+        });
+        assert_eq!(out, vec![true; 5]);
     }
 
     #[test]

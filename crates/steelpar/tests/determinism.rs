@@ -8,7 +8,7 @@
 
 use steelworks_core::prelude::*;
 use steelworks_mlnet::prelude::MlApp;
-use steelworks_xdpsim::prelude::ReflectVariant;
+use steelworks_xdpsim::prelude::{LoopVariant, ReflectVariant};
 
 /// The fig6-shaped sweep: every (app, topology, client-count) point,
 /// rendered exactly as the figure table cells are.
@@ -40,29 +40,33 @@ fn fig6_sweep_identical_at_any_job_count() {
     }
 }
 
-/// The fig4-shaped sweep at reduced cycle count: six variants plus the
-/// two flow regimes, rendered as the binary's summary lines are.
+/// The fig4-shaped sweep at reduced cycle count, in the figure's own
+/// fan-out order: the 25-flow run first, then the six variants, the
+/// 1-flow run and the three loop programs, rendered as the binary's
+/// summary lines are.
 fn fig4_shaped(jobs: usize) -> Vec<String> {
     enum Scenario {
         Left(ReflectVariant),
         Flows(u32),
+        Loop(LoopVariant),
     }
     let cycles = 300;
     let seed = 0x57EE1;
-    let scenarios: Vec<Scenario> = ReflectVariant::ALL
-        .iter()
-        .map(|&v| Scenario::Left(v))
-        .chain([1u32, 25].iter().map(|&f| Scenario::Flows(f)))
+    let scenarios: Vec<Scenario> = std::iter::once(Scenario::Flows(25))
+        .chain(ReflectVariant::ALL.iter().map(|&v| Scenario::Left(v)))
+        .chain(std::iter::once(Scenario::Flows(1)))
+        .chain(LoopVariant::ALL.iter().map(|&lv| Scenario::Loop(lv)))
         .collect();
+    let median = |cdf: &[(f64, f64)]| {
+        cdf.iter()
+            .find(|(_, p)| *p >= 0.5)
+            .map(|(x, _)| *x)
+            .unwrap_or(0.0)
+    };
     steelpar::run(jobs, scenarios, |s| match s {
         Scenario::Left(v) => {
             let (name, cdf) = fig4_left_one(v, seed, cycles);
-            let median = cdf
-                .iter()
-                .find(|(_, p)| *p >= 0.5)
-                .map(|(x, _)| *x)
-                .unwrap_or(0.0);
-            format!("{name}: median {median:.2} us over {} points", cdf.len())
+            format!("{name}: median {:.2} us over {} points", median(&cdf), cdf.len())
         }
         Scenario::Flows(f) => {
             let mut out = fig4_right_one(f, seed, cycles);
@@ -73,14 +77,21 @@ fn fig4_shaped(jobs: usize) -> Vec<String> {
                 out.over_threshold_fraction * 100.0
             )
         }
+        Scenario::Loop(lv) => {
+            let (name, cdf) = fig4_loop_one(lv, seed, cycles);
+            format!("{name}: median {:.2} us over {} points", median(&cdf), cdf.len())
+        }
     })
 }
 
 #[test]
 fn fig4_sweep_identical_at_any_job_count() {
     let sequential = fig4_shaped(1);
-    assert_eq!(sequential.len(), ReflectVariant::ALL.len() + 2);
-    for jobs in [2, 4] {
+    assert_eq!(
+        sequential.len(),
+        ReflectVariant::ALL.len() + 2 + LoopVariant::ALL.len()
+    );
+    for jobs in [2, 3, 4] {
         assert_eq!(sequential, fig4_shaped(jobs), "jobs={jobs}");
     }
 }

@@ -18,7 +18,7 @@ use steelworks_core::prelude::*;
 use steelworks_mlnet::prelude::MlApp;
 use steelworks_netsim::rng::SimRng;
 use steelworks_netsim::time::{NanoDur, Nanos};
-use steelworks_xdpsim::prelude::{NicModel, PcieModel, ReflectVariant};
+use steelworks_xdpsim::prelude::{LoopVariant, NicModel, PcieModel, ReflectVariant};
 
 /// Append one line (`writeln!` into a `String` cannot fail).
 macro_rules! wln {
@@ -138,11 +138,13 @@ pub fn fig1_corpus_report(texts: &[String], published_check_waived: bool, jobs: 
 enum Fig4Scenario {
     Left(ReflectVariant),
     Flows(u32),
+    Loop(LoopVariant),
 }
 
 enum Fig4Outcome {
     Left((&'static str, Vec<(f64, f64)>)),
     Flows(u32, ReflectionOutcome),
+    Loop((&'static str, Vec<(f64, f64)>)),
 }
 
 /// Fig. 4: Traffic Reflection delay/jitter CDFs (six eBPF/XDP variants,
@@ -152,23 +154,32 @@ enum Fig4Outcome {
 fn fig4(out: &mut String, cycles: u64, seed: u64, loops: u64, jobs: usize) {
     wln!(out, "# Fig. 4 — Traffic Reflection (seed {seed:#x}, {cycles} cycles/flow)\n");
 
-    let scenarios: Vec<Fig4Scenario> = ReflectVariant::ALL
-        .iter()
-        .map(|&v| Fig4Scenario::Left(v))
-        .chain([1u32, 25].iter().map(|&f| Fig4Scenario::Flows(f)))
+    // One fan-out for every scenario, longest first: the 25-flow run
+    // simulates 25x the frames of any other, so it starts at once and
+    // the rest fill the other workers around it.
+    let loop_variants: &[LoopVariant] = if loops != 0 { &LoopVariant::ALL } else { &[] };
+    let scenarios: Vec<Fig4Scenario> = std::iter::once(Fig4Scenario::Flows(25))
+        .chain(ReflectVariant::ALL.iter().map(|&v| Fig4Scenario::Left(v)))
+        .chain(std::iter::once(Fig4Scenario::Flows(1)))
+        .chain(loop_variants.iter().map(|&lv| Fig4Scenario::Loop(lv)))
         .collect();
     let outcomes = steelpar::run(jobs, scenarios, move |s| match s {
         Fig4Scenario::Left(v) => Fig4Outcome::Left(fig4_left_one(v, seed, cycles)),
         Fig4Scenario::Flows(f) => Fig4Outcome::Flows(f, fig4_right_one(f, seed, cycles)),
+        Fig4Scenario::Loop(lv) => Fig4Outcome::Loop(fig4_loop_one(lv, seed, cycles)),
     });
     let mut left = Vec::new();
     let mut flow_outs = Vec::new();
+    let mut loop_cdfs = Vec::new();
     for o in outcomes {
         match o {
             Fig4Outcome::Left(l) => left.push(l),
             Fig4Outcome::Flows(f, o) => flow_outs.push((f, o)),
+            Fig4Outcome::Loop(l) => loop_cdfs.push(l),
         }
     }
+    // The panels print 1 flow before 25.
+    flow_outs.sort_by_key(|(f, _)| *f);
 
     // Left panel.
     wln!(out, "## Left: delay CDFs per eBPF program variant (1 flow)");
@@ -261,22 +272,20 @@ fn fig4(out: &mut String, cycles: u64, seed: u64, loops: u64, jobs: usize) {
     );
 
     if loops != 0 {
-        fig4_loops(out, cycles, seed, base, jobs);
+        fig4_loops(out, &loop_cdfs, base);
     }
 }
 
 /// The bounded-loop corpus companion panel: three loop programs the
 /// interval verifier accepts with a derived fuel bound, run through the
-/// same reflection harness as the straight-line variants.
-fn fig4_loops(out: &mut String, cycles: u64, seed: u64, base_median: f64, jobs: usize) {
-    use steelworks_xdpsim::prelude::{loop_variant, standard_maps, verify, LoopVariant};
+/// same reflection harness as the straight-line variants. `results`
+/// holds their delay CDFs in [`LoopVariant::ALL`] order.
+fn fig4_loops(out: &mut String, results: &[(&'static str, Vec<(f64, f64)>)], base_median: f64) {
+    use steelworks_xdpsim::prelude::{loop_variant, standard_maps, verify};
 
     wln!(out, "\n## Loop corpus: bounded-loop variants (interval verifier, derived fuel)");
-    let results = steelpar::run(jobs, LoopVariant::ALL.to_vec(), move |lv| {
-        fig4_loop_one(lv, seed, cycles)
-    });
     let mut medians = std::collections::BTreeMap::new();
-    for (name, cdf) in &results {
+    for (name, cdf) in results {
         wln!(out, "{}", format_cdf(&format!("delay, {name}"), "us", cdf, 20));
         let median = cdf
             .iter()

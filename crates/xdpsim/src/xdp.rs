@@ -15,7 +15,6 @@ use crate::nic::NicModel;
 use crate::prog::Program;
 use crate::verifier::{verify_with_proof, VerifyError, VerifyStats};
 use crate::vm::{self, XdpContext};
-use steelworks_netsim::bytes::Bytes;
 use std::collections::BTreeMap;
 use steelworks_netsim::frame::{EthFrame, MacAddr};
 use steelworks_netsim::node::{Ctx, Device, PortId};
@@ -69,6 +68,10 @@ pub struct XdpHost {
     pub rx_queues: u32,
     stats: XdpStats,
     flow_last_seen: BTreeMap<MacAddr, Nanos>,
+    /// A lower bound on every `flow_last_seen` value: until `now` is a
+    /// full window past it, no flow can have expired and the sweep is
+    /// skipped.
+    flow_oldest: Nanos,
     /// Deferred TX frames (processing delay in flight).
     pending: Vec<(Nanos, PortId, EthFrame)>,
     /// Spare buffer swapped with `pending` on each timer fire, so the
@@ -118,6 +121,7 @@ impl XdpHost {
             rx_queues: 1,
             stats: XdpStats::default(),
             flow_last_seen: BTreeMap::new(),
+            flow_oldest: Nanos::ZERO,
             pending: Vec::new(),
             pending_swap: Vec::new(),
             proc_times: SampleSet::new(),
@@ -201,8 +205,14 @@ impl XdpHost {
         if let Some(f) = self.forced_flows {
             return f;
         }
-        self.flow_last_seen
-            .retain(|_, last| now.saturating_since(*last) <= FLOW_WINDOW);
+        // Inserts only raise last-seen times, so `flow_oldest` stays a
+        // lower bound between sweeps; a steady set of cyclic flows
+        // never pays for the O(flows) retain.
+        if now.saturating_since(self.flow_oldest) > FLOW_WINDOW {
+            self.flow_last_seen
+                .retain(|_, last| now.saturating_since(*last) <= FLOW_WINDOW);
+            self.flow_oldest = self.flow_last_seen.values().copied().min().unwrap_or(now);
+        }
         (self.flow_last_seen.len() as u32).max(1)
     }
 }
@@ -219,19 +229,24 @@ fn frame_to_bytes(frame: &EthFrame, out: &mut Vec<u8>) {
 }
 
 /// Rebuild a frame from (possibly modified) raw bytes, preserving the
-/// original frame identity so taps can correlate request/response.
-fn bytes_to_frame(bytes: &[u8], original: &EthFrame) -> Option<EthFrame> {
+/// original frame identity so taps can correlate request/response. The
+/// payload comes from the engine's buffer pool, so a steady reflection
+/// loop recycles the buffers its earlier frames released.
+fn bytes_to_frame(ctx: &mut Ctx<'_>, bytes: &[u8], original: &EthFrame) -> Option<EthFrame> {
     if bytes.len() < 14 {
         return None;
     }
-    let mut f = original.clone();
-    // steelcheck: allow(unwrap-in-lib): slice is exactly 6 bytes: frame buffers are length-checked on entry
-    f.dst = MacAddr(bytes[0..6].try_into().expect("slice len 6"));
-    // steelcheck: allow(unwrap-in-lib): slice is exactly 6 bytes: frame buffers are length-checked on entry
-    f.src = MacAddr(bytes[6..12].try_into().expect("slice len 6"));
-    f.ethertype = u16::from_be_bytes([bytes[12], bytes[13]]);
-    f.payload = Bytes::from(bytes[14..].to_vec());
-    Some(f)
+    let body = &bytes[14..];
+    Some(EthFrame {
+        id: original.id,
+        // steelcheck: allow(unwrap-in-lib): slice is exactly 6 bytes: frame buffers are length-checked on entry
+        dst: MacAddr(bytes[0..6].try_into().expect("slice len 6")),
+        // steelcheck: allow(unwrap-in-lib): slice is exactly 6 bytes: frame buffers are length-checked on entry
+        src: MacAddr(bytes[6..12].try_into().expect("slice len 6")),
+        vlan: original.vlan,
+        ethertype: u16::from_be_bytes([bytes[12], bytes[13]]),
+        payload: ctx.payload_with(body.len(), |b| b.copy_from_slice(body)),
+    })
 }
 
 impl Device for XdpHost {
@@ -290,7 +305,7 @@ impl Device for XdpHost {
                 let tx = self.nic.tx_latency(packet.len().max(60));
                 let total = rx + result.cost.as_dur() + noise + tx;
                 self.proc_times.push(total.as_nanos() as f64);
-                if let Some(out) = bytes_to_frame(&packet, &frame) {
+                if let Some(out) = bytes_to_frame(ctx, &packet, &frame) {
                     let at = now + total;
                     self.pending.push((at, port, out));
                     ctx.timer_at(at, 0);
@@ -480,6 +495,84 @@ mod tests {
         assert!(cpus_used >= 2, "RSS used {cpus_used} CPUs");
         // And nothing was lost.
         assert_eq!(host_ref.stats().drop, 400);
+    }
+
+    /// Wraps a host and records, after every frame, the arrival time,
+    /// source MAC and the flow count the host tracked for that frame
+    /// (the count fed to `sample_noise`, floored at one).
+    struct FlowProbe {
+        host: XdpHost,
+        seen: Vec<(Nanos, MacAddr, u32)>,
+    }
+
+    impl Device for FlowProbe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+        fn on_frame(&mut self, ctx: &mut Ctx<'_>, port: PortId, frame: EthFrame) {
+            let (now, src) = (ctx.now(), frame.src);
+            self.host.on_frame(ctx, port, frame);
+            self.seen.push((now, src, self.host.tracked_flows()));
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.host.on_timer(ctx, token);
+        }
+    }
+
+    #[test]
+    fn flow_window_ages_out_silent_flows() {
+        // Three senders on their own host ports: A stops after 20
+        // frames, B after 50, C keeps going for 300 ms. A and C share a
+        // phase, so one of C's frames lands exactly 100 ms after A's
+        // last — the window's inclusive edge.
+        let mut sim = Simulator::new(3);
+        let (maps, rb) = standard_maps();
+        let host = XdpHost::new(
+            "xdp",
+            reflect_variant(ReflectVariant::Ts, rb),
+            maps,
+            HostProfile::preempt_rt(),
+        )
+        .expect("verifies");
+        let probe = sim.add_node(FlowProbe { host, seen: Vec::new() });
+        let senders = [(1u16, 20u64, 0u64), (2, 50, 500_000), (3, 300, 0)];
+        for (port, &(mac, limit, offset)) in senders.iter().enumerate() {
+            let src = sim.add_node(
+                PeriodicSource::new(
+                    format!("s{mac}"),
+                    MacAddr::local(mac),
+                    MacAddr::local(100),
+                    50,
+                    NanoDur::from_millis(1),
+                )
+                .with_limit(limit)
+                .with_start_offset(NanoDur(offset)),
+            );
+            sim.connect(src, PortId(0), probe, PortId(port), LinkSpec::gigabit());
+        }
+        sim.run_until(Nanos::from_millis(320));
+        let seen = &sim.node_ref::<FlowProbe>(probe).seen;
+        assert_eq!(seen.len(), 370);
+
+        // Reference: insert, then drop every flow silent for more than
+        // the window, on every frame.
+        let mut reference: BTreeMap<MacAddr, Nanos> = BTreeMap::new();
+        for (i, &(now, src, tracked)) in seen.iter().enumerate() {
+            reference.insert(src, now);
+            reference.retain(|_, last| now.saturating_since(*last) <= FLOW_WINDOW);
+            assert_eq!(tracked, reference.len() as u32, "frame {i} at {now:?}");
+        }
+
+        let a = MacAddr::local(1);
+        let last_a = seen.iter().rev().find(|s| s.1 == a).expect("A sent").0;
+        let count_at = |t: Nanos| seen.iter().find(|s| s.0 == t && s.1 != a).map(|s| s.2);
+        assert_eq!(seen.iter().map(|s| s.2).max(), Some(3));
+        // Exactly one window after A's last frame A still counts (B too);
+        // one cycle later only B and C remain.
+        assert_eq!(count_at(last_a + FLOW_WINDOW), Some(3));
+        assert_eq!(count_at(last_a + FLOW_WINDOW + NanoDur::from_millis(1)), Some(2));
+        assert_eq!(seen.last().map(|s| s.2), Some(1));
+        assert_eq!(sim.node_ref::<FlowProbe>(probe).host.tracked_flows(), 1);
     }
 
     #[test]
